@@ -72,10 +72,11 @@ static_assert(kNodeCount == kFrameNodeCount,
 [[nodiscard]] bool node_data_parallel(i32 node);
 
 /// Which nodes run under a scenario (switch bitmask, bits = Switch enum):
-/// the static mirror of RuntimeManager::forecast's per-frame activity rules
-/// (RDG granularity variants select on SW_RDG/SW_ROI, ENH/ZOOM gate on
-/// SW_REG).  triplec-audit enumerates all 2^kSwitchCount masks through this
-/// to prove per-scenario properties offline.
+/// the one definition of the per-node activity rules (RDG granularity
+/// variants select on SW_RDG/SW_ROI, ENH/ZOOM gate on SW_REG).
+/// rt::make_forecast applies it to the coming frame for RuntimeManager and
+/// exec::Executor; triplec-audit enumerates all 2^kSwitchCount masks
+/// through it to prove per-scenario properties offline.
 [[nodiscard]] std::array<bool, kNodeCount> scenario_node_activity(
     graph::ScenarioId scenario);
 

@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <deque>
 #include <optional>
 #include <string>
 #include <utility>
 
-#include "common/stats.hpp"
 #include "exec/frame_pipeline.hpp"
 #include "obs/obs.hpp"
-#include "runtime/audit_gate.hpp"
 #include "tripleC/bandwidth_model.hpp"
 
 namespace tc::exec {
@@ -71,7 +68,13 @@ Executor::Executor(app::StentBoostConfig app_config, ExecutorConfig config)
                                 : static_cast<usize>(config.worker_threads))),
       pool_(config.shared_pool != nullptr ? config.shared_pool
                                           : owned_pool_.get()),
-      app_(std::move(app_config), pool_) {
+      app_(std::move(app_config), pool_),
+      startup_(rt::run_startup_gates(app_, nullptr, config_,
+                                     config_.audit_training_frames)),
+      planner_(rt::PlannerConfig{config.host_cost, config.deadline_ms,
+                                 config.deadline_headroom, config.warmup_frames,
+                                 config.max_stripes_per_task,
+                                 config.policy == DeadlinePolicy::Degrade}) {
   node_ewma_.fill(model::EwmaFilter(config_.ewma_alpha));
   for (auto& per_node : node_aux_ewma_) {
     per_node.fill(model::EwmaFilter(config_.ewma_alpha));
@@ -84,37 +87,6 @@ Executor::Executor(app::StentBoostConfig app_config, ExecutorConfig config)
   for (const graph::Edge& e : app_.graph().edges()) {
     node_is_sink_[static_cast<usize>(e.from)] = false;
     node_is_source_[static_cast<usize>(e.to)] = false;
-  }
-  if (config_.validate_at_startup) {
-    // Admission control: the graph and platform spec are linted before any
-    // frame executes (Strict throws analysis::AnalysisError).
-    analysis::AnalysisInput input;
-    input.graph = &app_.graph();
-    input.platform = &app_.config().platform;
-    validation_report_ = analysis::Analyzer{}.run(input);
-    analysis::enforce(validation_report_, config_.validation_policy);
-  }
-  if (config_.audit_at_startup) {
-    // Schedulability proof before the first frame: train a throwaway
-    // predictor on a simulated copy of the application (the executor's own
-    // app keeps its pristine inter-frame state), capture Table-1 memory
-    // rows, then audit all scenarios × the runtime plan search space.
-    app::StentBoostApp train_app(app_.config());
-    model::GraphPredictor predictor(app::kNodeCount, app::kSwitchCount);
-    std::vector<graph::FrameRecord> records =
-        train_app.run(std::max(1, config_.audit_training_frames));
-    std::vector<std::vector<graph::FrameRecord>> seqs = {records};
-    predictor.train(seqs);
-    std::vector<model::MemoryRow> rows = rt::capture_memory_rows(
-        records, app_.config().cost.resolution_scale);
-    analysis::audit::AuditResult audit =
-        rt::audit_app(train_app, predictor, rows, config_.audit_options);
-    audit_report_ = std::move(audit.report);
-    analysis::enforce(audit_report_, config_.audit_policy);
-  }
-  if (config_.deadline_ms > 0.0) {
-    deadline_ms_ = config_.deadline_ms;
-    deadline_set_ = true;
   }
   if (config_.diagnostics.enabled) {
     obs::MetricsRegistry* metrics =
@@ -192,44 +164,23 @@ f64 Executor::node_estimate(i32 node) const {
 }
 
 std::vector<rt::NodeForecast> Executor::host_forecast() const {
-  std::vector<rt::NodeForecast> fc(app::kNodeCount);
-  // RDG and ROI switch values are inter-frame state known before the frame
-  // starts; the registration outcome is uncertain, so ENH/ZOOM time is
-  // always reserved (over-reserving is the safe direction for a deadline).
-  const bool rdg = app_.rdg_active();
-  const bool roi = app_.roi_valid();
-  auto set = [&](i32 node, bool active) {
-    auto& f = fc[static_cast<usize>(node)];
-    f.active = active;
-    f.data_parallel = app::node_data_parallel(node);
-    if (active) f.serial_ms = node_estimate(node);
-  };
-  set(app::kRdgFull, rdg && !roi);
-  set(app::kRdgRoi, rdg && roi);
-  set(app::kMkxFull, !roi);
-  set(app::kMkxRoi, roi);
-  set(app::kCplsSel, true);
-  set(app::kReg, true);
-  set(app::kRoiEst, true);
-  set(app::kGwExt, rdg);
-  set(app::kEnh, true);
-  set(app::kZoom, true);
-  return fc;
+  // The registration outcome is uncertain before the frame starts, so
+  // ENH/ZOOM time is always reserved (over-reserving is the safe direction
+  // for a deadline).
+  return rt::make_forecast(
+      rt::upcoming_scenario(app_, /*registration_succeeds=*/true),
+      [this](i32 node) { return node_estimate(node); });
 }
 
 f64 Executor::feed_back(const graph::FrameRecord& record,
-                        const app::StripePlan& plan) {
+                        const ExecutedFrame& frame) {
   f64 serial_total = 0.0;
   for (const graph::TaskExecution& exec : record.tasks) {
     if (!exec.executed) continue;
-    // The filters model *serial* execution: normalize striped measurements
-    // back through the inverse of the stripe cost model.
-    f64 serial_ms = exec.host_ms;
-    const i32 stripes = plan[static_cast<usize>(exec.node)];
-    if (app::node_data_parallel(exec.node) && stripes > 1) {
-      serial_ms = plat::serial_ms_from_striped(config_.host_cost, exec.host_ms,
-                                             stripes);
-    }
+    // The filters model *serial, full-quality* execution.
+    const f64 serial_ms = rt::serial_full_quality_ms(
+        config_.host_cost, exec.node, exec.host_ms,
+        frame.plan[static_cast<usize>(exec.node)], frame.quality_level);
     node_ewma_[static_cast<usize>(exec.node)].update(serial_ms);
     serial_total += serial_ms;
   }
@@ -241,29 +192,12 @@ f64 Executor::feed_back(const graph::FrameRecord& record,
   return serial_total;
 }
 
-void Executor::apply_quality(i32 frame, i32 ladder_index) {
-  const auto ladder = rt::quality_ladder();
-  const i32 max_index = narrow<i32>(ladder.size()) - 1;
-  const i32 previous = quality_index_;
-  quality_index_ = std::clamp(ladder_index, 0, max_index);
-  const rt::QualityLevel& level = ladder[static_cast<usize>(quality_index_)];
-  app_.set_quality(level.extra_mkx_decimation, level.skip_guidewire,
-                   level.zoom_divisor);
-  if (quality_index_ != previous && obs::enabled()) {
-    obs::global().flight.record(obs::FrEventType::QosTransition, frame, -1,
-                                static_cast<f64>(quality_index_),
-                                static_cast<f64>(previous));
-  }
-}
-
 f64 Executor::plan_frame(i32 t, i32 frames_in_flight, ExecutedFrame& result) {
   result.frame = t;
-  result.managed = deadline_set_;
-  result.deadline_ms = deadline_ms_;
+  result.managed = planner_.budget_set();
+  result.deadline_ms = planner_.budget_ms();
 
-  rt::PlanChoice choice;
-  choice.plan = app::serial_plan();
-  app::StripePlan plan = app::serial_plan();
+  rt::PlanDecision decision;  // serial, full quality until the planner decides
   f64 ewma_total = 0.0;  // pre-Markov serial-equivalent forecast (drift input)
   std::vector<rt::NodeForecast> fc;  // Markov-scaled (ledger prediction input)
   if (result.managed && config_.adapt) {
@@ -280,67 +214,32 @@ f64 Executor::plan_frame(i32 t, i32 frames_in_flight, ExecutedFrame& result) {
       const f64 scale = std::clamp(markov_total / ewma_total, 0.5, 2.0);
       for (rt::NodeForecast& f : fc) f.serial_ms *= scale;
     }
-    if (config_.policy == DeadlinePolicy::Degrade && quality_index_ > 0) {
-      const auto ladder = rt::quality_ladder();
-      // Recovery hysteresis: lift one level only after qos_recover_after
-      // consecutive frames whose forecast fits at the better level.
-      std::vector<rt::NodeForecast> better_fc = rt::degrade_forecast(
-          fc, ladder[static_cast<usize>(quality_index_ - 1)]);
-      const rt::PlanChoice better =
-          rt::choose_plan(config_.host_cost, better_fc, deadline_ms_,
-                          config_.max_stripes_per_task,
-                          effective_threads());
-      recover_streak_ = better.fits_budget ? recover_streak_ + 1 : 0;
-      if (recover_streak_ >= config_.qos_recover_after) {
-        apply_quality(t, quality_index_ - 1);
-        recover_streak_ = 0;
-      }
+    decision = planner_.decide(fc, effective_threads());
+    result.predicted_host_ms = decision.choice.estimated_ms;
+    result.repartitioned = decision.plan_changed;
+    const rt::QualityLevel& q = decision.quality;
+    if (q.level != decision.previous_level) {
+      app_.set_quality(q.extra_mkx_decimation, q.skip_guidewire,
+                       q.zoom_divisor);
     }
-    auto plan_at_current_quality = [&]() {
-      std::vector<rt::NodeForecast> eff = fc;
-      if (quality_index_ > 0) {
-        eff = rt::degrade_forecast(
-            fc, rt::quality_ladder()[static_cast<usize>(quality_index_)]);
-      }
-      return rt::choose_plan(config_.host_cost, eff, deadline_ms_,
-                             config_.max_stripes_per_task,
-                             effective_threads());
-    };
-    choice = plan_at_current_quality();
-    if (config_.policy == DeadlinePolicy::Degrade) {
-      const i32 max_index = narrow<i32>(rt::quality_ladder().size()) - 1;
-      while (!choice.fits_budget && quality_index_ < max_index) {
-        apply_quality(t, quality_index_ + 1);
-        recover_streak_ = 0;
-        choice = plan_at_current_quality();
-      }
-    }
-    plan = choice.plan;
-    result.predicted_host_ms = choice.estimated_ms;
-    if (obs::enabled()) {
-      obs::FlightRecorder& flight = obs::global().flight;
-      i32 total_stripes = 0;
-      for (i32 s : plan) total_stripes += s;
-      flight.record(obs::FrEventType::PlanChoice, t, -1,
-                    static_cast<f64>(total_stripes), choice.estimated_ms);
-      if (frame_markov_.fitted()) {
-        flight.record(
-            obs::FrEventType::MarkovState, t, -1,
-            static_cast<f64>(
-                frame_markov_.quantizer().state_of(last_serial_total_ms_)),
-            frame_markov_.predict_next(last_serial_total_ms_));
-      }
+    rt::record_decision(t, decision, result.predicted_host_ms);
+    if (obs::enabled() && frame_markov_.fitted()) {
+      obs::global().flight.record(
+          obs::FrEventType::MarkovState, t, -1,
+          static_cast<f64>(
+              frame_markov_.quantizer().state_of(last_serial_total_ms_)),
+          frame_markov_.predict_next(last_serial_total_ms_));
     }
   }
-  result.plan = plan;
-  result.quality_level = quality_index_;
-  app_.set_stripe_plan(plan);
+  result.plan = decision.choice.plan;
+  result.quality_level = decision.quality.level;
+  app_.set_stripe_plan(result.plan);
   // Host resource budget: the chosen plan's widest fan-out, capped by this
   // frame's fair share of the pool (pipelining divides the pool among the
   // frames in flight).
-  choice.plan = plan;
   app_.set_instance_budget(
-      rt::budget_for_plan(choice, effective_threads(), frames_in_flight));
+      rt::budget_for_plan(decision.choice, effective_threads(),
+                          frames_in_flight));
   if (obs::enabled()) {
     obs::global().flight.record(obs::FrEventType::FrameStart, t, -1,
                                 result.predicted_host_ms);
@@ -357,15 +256,12 @@ void Executor::ledger_predict(i32 t, std::span<const rt::NodeForecast> fc,
     if (!f.active || f.serial_ms <= 0.0) continue;
     obs::LedgerSample s;
     s.node = narrow<i32>(node);
-    // CPU: the Markov-scaled serial forecast, striped through the chosen
-    // plan — the time this node is actually expected to take.
-    f64 cpu_ms = f.serial_ms;
-    const i32 stripes = result.plan[node];
-    if (f.data_parallel && stripes > 1) {
-      cpu_ms = plat::striped_ms_from_serial(config_.host_cost, cpu_ms, stripes);
-    }
+    // CPU: the Markov-scaled serial forecast under the frame's plan and
+    // quality level — the time this node is actually expected to take.
     s.mask = obs::ledger_bit(obs::LedgerResource::CpuMs);
-    s.values[static_cast<usize>(obs::LedgerResource::CpuMs)] = cpu_ms;
+    s.values[static_cast<usize>(obs::LedgerResource::CpuMs)] =
+        rt::planned_node_ms(config_.host_cost, s.node, f.serial_ms,
+                            result.plan[node], result.quality_level);
     // Memory and bus traffic: the auxiliary filters, once primed from
     // measured frames (predictions appear from the node's second frame on).
     for (i32 r = 1; r < obs::kLedgerResourceCount; ++r) {
@@ -377,8 +273,7 @@ void Executor::ledger_predict(i32 t, std::span<const rt::NodeForecast> fc,
     }
     preds.push_back(s);
   }
-  ledger_->predict_frame(t, next_ticket_++,
-                         deadline_set_ ? deadline_ms_ : 0.0, result.plan,
+  ledger_->predict_frame(t, next_ticket_++, planner_.budget_ms(), result.plan,
                          preds);
 }
 
@@ -485,48 +380,45 @@ void Executor::settle_frame(ExecutedFrame& result,
   result.scenario = record.scenario;
 
   // --- QoS: deadline accounting -------------------------------------------
-  if (deadline_set_ && result.measured_host_ms > deadline_ms_) {
+  const f64 deadline_ms = planner_.budget_ms();
+  if (planner_.budget_set() && result.measured_host_ms > deadline_ms) {
     result.deadline_miss = true;
     if (config_.policy == DeadlinePolicy::Drop) result.dropped = true;
   }
 
   if (obs::enabled()) {
     obs::FlightRecorder& flight = obs::global().flight;
-    // Per-node predicted-vs-measured, while node_estimate() still returns
-    // the pre-frame filter state (feed_back below updates it).
+    // Per-node predicted-vs-measured under the frame's plan and quality,
+    // while node_estimate() still returns the pre-frame filter state
+    // (feed_back below updates it).
     for (const graph::TaskExecution& exec : record.tasks) {
       if (!exec.executed) continue;
       flight.record(obs::FrEventType::NodeTiming, result.frame, exec.node,
-                    node_estimate(exec.node), exec.host_ms);
+                    rt::planned_node_ms(
+                        config_.host_cost, exec.node, node_estimate(exec.node),
+                        result.plan[static_cast<usize>(exec.node)],
+                        result.quality_level),
+                    exec.host_ms);
     }
     flight.record(obs::FrEventType::FrameEnd, result.frame, -1,
-                  result.measured_host_ms, deadline_ms_);
+                  result.measured_host_ms, deadline_ms);
     if (result.deadline_miss) {
       flight.record(obs::FrEventType::DeadlineMiss, result.frame, -1,
-                    result.measured_host_ms, deadline_ms_);
+                    result.measured_host_ms, deadline_ms);
     }
   }
 
   if (ledger_ != nullptr) ledger_settle(result, record);
 
   // --- feedback + warm-up bookkeeping -------------------------------------
-  const f64 serial_total = feed_back(record, result.plan);
+  const f64 serial_total = feed_back(record, result);
   if (!frame_markov_.fitted()) {
     warmup_serial_totals_.push_back(serial_total);
     if (narrow<i32>(warmup_serial_totals_.size()) >= config_.warmup_frames) {
       frame_markov_.fit(warmup_serial_totals_);
     }
   }
-  if (!deadline_set_) {
-    warmup_measured_ms_.push_back(result.measured_host_ms);
-    if (narrow<i32>(warmup_measured_ms_.size()) >= config_.warmup_frames) {
-      deadline_ms_ = mean(warmup_measured_ms_) * config_.deadline_headroom;
-      deadline_set_ = true;
-    }
-  }
-
-  result.repartitioned = result.managed && result.plan != prev_plan_;
-  prev_plan_ = result.plan;
+  planner_.observe_warmup(result.measured_host_ms);
 
   ++stats_.frames;
   measured_sum_ms_ += result.measured_host_ms;
@@ -548,7 +440,7 @@ void Executor::settle_frame(ExecutedFrame& result,
     // counters and the deadline are otherwise stepping-thread-only state.
     common::MutexLock lock(status_mutex_);
     status_.stats = stats_;
-    status_.deadline_ms = deadline_set_ ? deadline_ms_ : 0.0;
+    status_.deadline_ms = planner_.budget_ms();
   }
 }
 
@@ -557,9 +449,9 @@ void Executor::record_frame_observability(const ExecutedFrame& f) {
   obs::MetricsRegistry& m = ctx.metrics;
 
   m.counter("tripleC_exec_frames_total", "Frames executed on the host").add();
-  if (deadline_set_) {
+  if (planner_.budget_set()) {
     m.gauge("tripleC_exec_deadline_ms", "Active per-frame host deadline")
-        .set(deadline_ms_);
+        .set(planner_.budget_ms());
   }
   // Register the families unconditionally so each exists from frame one.
   obs::Counter& misses =
@@ -602,7 +494,7 @@ void Executor::run_diagnostics(const ExecutedFrame& f, f64 ewma_total,
                                f64 serial_total) {
   // The SLO monitor is born the moment the deadline is known (its
   // thresholds are deadline-relative).
-  if (slo_ == nullptr && deadline_set_) {
+  if (slo_ == nullptr && planner_.budget_set()) {
     const DiagnosticsConfig& d = config_.diagnostics;
     std::vector<obs::SloSpec> specs;
     obs::SloSpec miss;
@@ -612,11 +504,11 @@ void Executor::run_diagnostics(const ExecutedFrame& f, f64 ewma_total,
     obs::SloSpec p99;
     p99.name = "p99_latency_ms";
     p99.kind = obs::SloKind::P99LatencyMs;
-    p99.threshold = deadline_ms_ * d.slo_p99_factor;
+    p99.threshold = planner_.budget_ms() * d.slo_p99_factor;
     obs::SloSpec jitter;
     jitter.name = "jitter_p99_minus_p50_ms";
     jitter.kind = obs::SloKind::JitterP99MinusP50Ms;
-    jitter.threshold = deadline_ms_ * d.slo_jitter_factor;
+    jitter.threshold = planner_.budget_ms() * d.slo_jitter_factor;
     for (obs::SloSpec* s : {&miss, &p99, &jitter}) {
       s->window = d.slo_window;
       s->min_frames = d.slo_min_frames;
@@ -714,7 +606,7 @@ obs::PostmortemContext Executor::postmortem_context(
   obs::PostmortemContext ctx;
   ctx.reason = reason;
   ctx.frame = f.frame;
-  ctx.deadline_ms = deadline_ms_;
+  ctx.deadline_ms = planner_.budget_ms();
   ctx.predicted_ms = f.predicted_host_ms;
   ctx.measured_ms = f.measured_host_ms;
   ctx.plan = rt::plan_to_string(f.plan);
@@ -848,7 +740,7 @@ std::vector<ExecutedFrame> Executor::run_pipelined(i32 n,
 
   FramePipelineConfig pc;
   pc.frames_in_flight = frames_in_flight;
-  pc.deadline_ms = deadline_ms_;
+  pc.deadline_ms = planner_.budget_ms();
   pc.collect_records = false;
   pc.on_admit = [&](i32 t) {
     common::MutexLock lock(mutex);

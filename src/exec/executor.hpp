@@ -6,25 +6,24 @@
 //   1. forecasts each active task's serial host time from per-node EWMA
 //      filters (Eq. 1), corrected by a frame-level Markov chain (Eq. 2)
 //      over serial-equivalent frame totals (short-term fluctuation),
-//   2. chooses a stripe plan with rt::choose_plan so the predicted host
-//      latency fits the frame deadline — repartitioning live whenever the
-//      prediction drifts across the plan boundary,
+//   2. chooses a stripe plan with the shared rt::Planner so the predicted
+//      host latency fits the frame deadline — repartitioning live whenever
+//      the prediction drifts across the plan boundary (runtime/planner.hpp),
 //   3. executes the frame for real: StentBoostApp stripes its row kernels
 //      over the executor-owned plat::ThreadPool per the plan,
 //   4. feeds the measured host times (FlowGraph stamps TaskExecution::
 //      host_ms) back into the EWMA filters and the Markov chain, after
-//      normalizing them to serial-equivalent via plat::serial_ms_from_striped
-//      so the predictors stay unbiased under repartitioning.
+//      mapping them to serial, full-quality time through the frame's plan
+//      and QoS level (rt::serial_full_quality_ms), so the predictors stay
+//      unbiased under repartitioning and degradation.
 //
 // Deadline QoS: a frame that measures past its deadline is counted as a
 // miss; DeadlinePolicy::Drop removes it from the display stream,
-// DeadlinePolicy::Degrade walks the rt::quality_ladder() down until the
-// forecast fits again (and back up after `qos_recover_after` consecutive
-// frames that would fit one level better).
+// DeadlinePolicy::Degrade lets the planner walk the QoS ladder.
 //
 // The first `warmup_frames` frames run serially to prime the filters, fit
 // the Markov chain and derive the deadline (mean * headroom) when none is
-// configured — mirroring the paper's initialization phase.
+// configured — the paper's initialization phase.
 //
 // The graph is validated by analysis::Analyzer before the first frame
 // (Strict policy throws analysis::AnalysisError from the constructor).
@@ -36,8 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analyzer.hpp"
-#include "analysis/audit.hpp"
 #include "app/stentboost.hpp"
 #include "exec/deadline.hpp"
 #include "obs/drift.hpp"
@@ -45,8 +42,8 @@
 #include "obs/postmortem.hpp"
 #include "obs/telemetry_server.hpp"
 #include "platform/thread_pool.hpp"
-#include "runtime/partition.hpp"
-#include "runtime/qos.hpp"
+#include "runtime/audit_gate.hpp"
+#include "runtime/planner.hpp"
 #include "tripleC/ewma.hpp"
 #include "tripleC/markov.hpp"
 
@@ -116,7 +113,7 @@ struct PredictorSnapshot {
   [[nodiscard]] f64 mean_frame_ms() const;
 };
 
-struct ExecutorConfig {
+struct ExecutorConfig : rt::StartupGates {
   /// Worker threads of the executor-owned pool (0 = hardware concurrency).
   i32 worker_threads = 4;
   /// External pool shared with other executors (the serving layer runs N
@@ -137,23 +134,9 @@ struct ExecutorConfig {
   f64 ewma_alpha = 0.3;
   /// Host stripe-overhead parameters (see host_cost_params()).
   plat::CostParams host_cost = host_cost_params();
-  /// Run the triplec-lint static passes over the graph and platform before
-  /// the first frame.
-  bool validate_at_startup = true;
-  analysis::Policy validation_policy = analysis::Policy::Strict;
-  /// Run the triplec-audit schedulability proof before the first frame: a
-  /// throwaway copy of the application is simulated for
-  /// audit_training_frames to train a GraphPredictor and capture memory
-  /// rows, then all scenarios × the runtime plan search space are checked
-  /// (deadline feasibility, per-bus budgets, transition pricing).  Strict
-  /// audit_policy refuses graphs with infeasible reachable scenarios.
-  bool audit_at_startup = false;
-  analysis::Policy audit_policy = analysis::Policy::Strict;
+  /// Frames of a throwaway simulated copy of the application that train the
+  /// startup audit's predictor (audit_at_startup).
   i32 audit_training_frames = 48;
-  analysis::audit::AuditOptions audit_options;
-  /// Degrade policy: lift one quality level after this many consecutive
-  /// frames whose forecast would fit at the better level.
-  i32 qos_recover_after = 4;
   /// Drift/SLO monitoring + post-mortem capture.
   DiagnosticsConfig diagnostics;
   /// Prediction ledger (predicted-vs-actual resource attribution per frame
@@ -237,18 +220,18 @@ class Executor {
   /// among the in-flight frames (rt::budget_for_plan).
   std::vector<ExecutedFrame> run_pipelined(i32 n, i32 frames_in_flight = 2);
 
-  [[nodiscard]] f64 deadline_ms() const { return deadline_ms_; }
-  [[nodiscard]] bool deadline_set() const { return deadline_set_; }
+  [[nodiscard]] f64 deadline_ms() const { return planner_.budget_ms(); }
+  [[nodiscard]] bool deadline_set() const { return planner_.budget_set(); }
   [[nodiscard]] app::StentBoostApp& app() { return app_; }
   [[nodiscard]] plat::ThreadPool& pool() { return *pool_; }
   [[nodiscard]] const ExecutorConfig& config() const { return config_; }
   [[nodiscard]] const analysis::Report& validation_report() const {
-    return validation_report_;
+    return startup_.validation;
   }
   /// Diagnostics of the startup schedulability audit (empty when
   /// audit_at_startup is off or nothing fired).
   [[nodiscard]] const analysis::Report& audit_report() const {
-    return audit_report_;
+    return startup_.audit;
   }
   [[nodiscard]] ExecutorStats stats() const { return stats_; }
 
@@ -326,11 +309,10 @@ class Executor {
   /// the filter is unprimed (e.g. the first ROI-mode frame).
   [[nodiscard]] f64 node_estimate(i32 node) const;
 
-  /// Feed the frame's measured host times back into the predictors; returns
-  /// the serial-equivalent frame total.
-  f64 feed_back(const graph::FrameRecord& record, const app::StripePlan& plan);
-
-  void apply_quality(i32 frame, i32 ladder_index);
+  /// Feed the frame's measured host times back into the predictors,
+  /// normalized through the frame's plan and quality level; returns the
+  /// serial-equivalent frame total.
+  f64 feed_back(const graph::FrameRecord& record, const ExecutedFrame& frame);
 
   /// Select and apply the stripe plan + instance budget for frame `t`
   /// (fills the prediction-side fields of `result`); returns the pre-Markov
@@ -376,8 +358,10 @@ class Executor {
   std::unique_ptr<plat::ThreadPool> owned_pool_;
   plat::ThreadPool* pool_;
   app::StentBoostApp app_;
-  analysis::Report validation_report_;
-  analysis::Report audit_report_;
+  /// Startup lint/audit gates, run before the first frame.
+  rt::StartupReports startup_;
+  /// Deadline, QoS level and previous plan (the shared control loop).
+  rt::Planner planner_;
 
   std::array<model::EwmaFilter, app::kNodeCount> node_ewma_;
   /// Auxiliary per-node filters for the non-CPU ledger resources (memory
@@ -393,19 +377,12 @@ class Executor {
   std::array<bool, app::kNodeCount> node_is_sink_{};
   model::MarkovChain frame_markov_;
   /// Serial-equivalent frame totals of the warm-up phase (Markov training
-  /// series) and measured warm-up latencies (deadline derivation).
+  /// series).
   std::vector<f64> warmup_serial_totals_;
-  std::vector<f64> warmup_measured_ms_;
   f64 last_serial_total_ms_ = 0.0;
 
-  f64 deadline_ms_ = 0.0;
-  bool deadline_set_ = false;
   /// Planner thread cap under a shared pool (see set_pool_share; 0 = all).
   i32 pool_share_ = 0;
-  app::StripePlan prev_plan_ = app::serial_plan();
-  /// Index into rt::quality_ladder() currently applied (Degrade policy).
-  i32 quality_index_ = 0;
-  i32 recover_streak_ = 0;
 
   ExecutorStats stats_;
   f64 measured_sum_ms_ = 0.0;

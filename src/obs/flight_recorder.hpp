@@ -45,7 +45,8 @@ enum class FrEventType : u16 {
   StageEnd,         ///< node = stage index; a = stage wall ms
   PlanChoice,       ///< a = total stripes of the plan, b = estimated ms
   QosTransition,    ///< a = new quality level, b = previous level
-  NodeTiming,       ///< node id; a = predicted serial ms, b = measured
+  NodeTiming,       ///< node id; a = predicted ms (frame's plan and QoS
+                    ///< level), b = measured ms
   MarkovState,      ///< a = quantized state index, b = predicted next total
   ScenarioSwitch,   ///< a = new scenario id, b = previous scenario id
   DeadlineMiss,     ///< a = measured ms, b = deadline ms

@@ -1,10 +1,12 @@
 #include "runtime/audit_gate.hpp"
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
 
 #include "graph/scenario.hpp"
+#include "runtime/planner.hpp"
 
 namespace tc::rt {
 
@@ -45,17 +47,10 @@ std::vector<analysis::audit::ScenarioCase> make_audit_cases(
     analysis::audit::ScenarioCase sc;
     sc.id = narrow<graph::ScenarioId>(id);
     sc.label = graph::scenario_label(sc.id, names);
-    const std::array<bool, app::kNodeCount> active =
-        app::scenario_node_activity(sc.id);
-    sc.nodes.resize(app::kNodeCount);
-    for (i32 node = 0; node < app::kNodeCount; ++node) {
-      analysis::sched::ScheduleNode& n = sc.nodes[static_cast<usize>(node)];
-      n.name = app::node_name(node);
-      n.active = active[static_cast<usize>(node)];
-      n.data_parallel = app::node_data_parallel(node);
-      // Pessimistic ROI: price ROI-granularity nodes at the full frame.
-      if (n.active) n.serial_ms = predictor.predict_task(node, full_px);
-    }
+    // Pessimistic ROI: price ROI-granularity nodes at the full frame.
+    sc.nodes = to_schedule_nodes(make_forecast(sc.id, [&](i32 node) {
+      return predictor.predict_task(node, full_px);
+    }));
     cases.push_back(std::move(sc));
   }
   return cases;
@@ -81,6 +76,42 @@ analysis::audit::AuditResult audit_app(
                                     app.config().cost,
                                     &predictor.scenario_table(), memory_rows,
                                     options);
+}
+
+StartupReports run_startup_gates(app::StentBoostApp& app,
+                                 const model::GraphPredictor* predictor,
+                                 const StartupGates& gates,
+                                 i32 training_frames) {
+  StartupReports reports;
+  if (gates.validate_at_startup) {
+    // Static validation before the first frame: a malformed graph, predictor
+    // configuration or platform spec fails here (under Strict) instead of
+    // corrupting a run.
+    reports.validation = analysis::Analyzer{}.run(
+        {&app.graph(), predictor, &app.config().platform, {}});
+    analysis::enforce(reports.validation, gates.validation_policy);
+  }
+  if (gates.audit_at_startup) {
+    // Static schedulability proof over all scenarios × the plan search
+    // space: a strict deployment refuses a graph whose reachable scenarios
+    // cannot meet the deadline or whose bus loads exceed the Fig.-4 budgets.
+    analysis::audit::AuditResult audit;
+    if (predictor != nullptr) {
+      audit = audit_app(app, *predictor, {}, gates.audit_options);
+    } else {
+      app::StentBoostApp train_app(app.config());
+      model::GraphPredictor trained(app::kNodeCount, app::kSwitchCount);
+      const std::vector<std::vector<graph::FrameRecord>> seqs = {
+          train_app.run(std::max(1, training_frames))};
+      trained.train(seqs);
+      const std::vector<model::MemoryRow> rows =
+          capture_memory_rows(seqs[0], app.config().cost.resolution_scale);
+      audit = audit_app(train_app, trained, rows, gates.audit_options);
+    }
+    reports.audit = std::move(audit.report);
+    analysis::enforce(reports.audit, gates.audit_policy);
+  }
+  return reports;
 }
 
 }  // namespace tc::rt

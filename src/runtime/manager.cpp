@@ -3,203 +3,110 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/stats.hpp"
 #include "obs/obs.hpp"
-#include "runtime/audit_gate.hpp"
 
 namespace tc::rt {
 
 RuntimeManager::RuntimeManager(app::StentBoostApp& app,
                                model::GraphPredictor& predictor,
                                ManagerConfig config)
-    : app_(app), predictor_(predictor), config_(config) {
-  if (config_.validate_at_startup) {
-    // Static validation before the first frame: a malformed graph, predictor
-    // configuration or platform spec fails here (under Strict) instead of
-    // corrupting a run.
-    analysis::AnalysisInput input;
-    input.graph = &app_.graph();
-    input.predictor = &predictor_;
-    input.platform = &app_.config().platform;
-    validation_report_ = analysis::Analyzer{}.run(input);
-    analysis::enforce(validation_report_, config_.validation_policy);
-  }
-  if (config_.audit_at_startup) {
-    // Static schedulability proof over all scenarios × the plan search
-    // space: a strict deployment refuses a graph whose reachable scenarios
-    // cannot meet the deadline or whose bus loads exceed the Fig.-4 budgets.
-    analysis::audit::AuditResult audit =
-        audit_app(app_, predictor_, {}, config_.audit_options);
-    audit_report_ = std::move(audit.report);
-    analysis::enforce(audit_report_, config_.audit_policy);
-  }
-  if (config_.latency_budget_ms > 0.0) {
-    budget_ms_ = config_.latency_budget_ms;
-    budget_set_ = true;
-  }
-}
+    : app_(app),
+      predictor_(predictor),
+      config_(config),
+      startup_(run_startup_gates(app_, &predictor_, config_)),
+      planner_(PlannerConfig{app.config().cost, config.latency_budget_ms,
+                             config.budget_headroom, config.warmup_frames,
+                             config.max_stripes_per_task, config.enable_qos}) {}
 
 std::vector<NodeForecast> RuntimeManager::forecast(
     bool assume_reg_success) const {
-  std::vector<NodeForecast> fc(app::kNodeCount);
-
-  // The RDG and ROI switches are known before the frame starts (they are
-  // inter-frame state); only the registration outcome is uncertain.  Budget
-  // planning assumes it succeeds (over-reserving is safe); the reported
-  // prediction takes the scenario state table's most likely next scenario.
-  const bool rdg = app_.rdg_active();
-  const bool roi = app_.roi_valid();
-  graph::ScenarioId likely = predictor_.predict_scenario();
   const bool reg_likely =
-      assume_reg_success || ((likely >> app::kSwReg) & 1u) != 0;
-
-  const f64 full_px = static_cast<f64>(app_.config().sequence.width) *
-                      static_cast<f64>(app_.config().sequence.height) *
-                      app_.config().cost.resolution_scale;
-  const f64 roi_px =
-      roi ? static_cast<f64>(app_.current_roi().area()) *
-                app_.config().cost.resolution_scale
-          : full_px;
-
-  auto set = [&](i32 node, bool active, f64 size) {
-    fc[static_cast<usize>(node)].active = active;
-    fc[static_cast<usize>(node)].data_parallel = app::node_data_parallel(node);
-    if (active) {
-      fc[static_cast<usize>(node)].serial_ms =
-          predictor_.predict_task(node, size);
-    }
-  };
-
-  set(app::kRdgFull, rdg && !roi, full_px);
-  set(app::kRdgRoi, rdg && roi, roi_px);
-  set(app::kMkxFull, !roi, full_px);
-  set(app::kMkxRoi, roi, roi_px);
-  set(app::kCplsSel, true, 0.0);
-  set(app::kReg, true, 0.0);
-  set(app::kRoiEst, true, 0.0);
-  set(app::kGwExt, rdg, 0.0);
-  set(app::kEnh, reg_likely, roi_px);
-  set(app::kZoom, reg_likely, roi_px);
-  return fc;
+      assume_reg_success ||
+      ((predictor_.predict_scenario() >> app::kSwReg) & 1u) != 0;
+  // Streaming tasks are priced at the frame's granularity (the ROI, or the
+  // full frame without one); feature-level tasks take no size.
+  const f64 pixels =
+      (app_.roi_valid() ? static_cast<f64>(app_.current_roi().area())
+                        : static_cast<f64>(app_.config().sequence.width) *
+                              static_cast<f64>(app_.config().sequence.height)) *
+      app_.config().cost.resolution_scale;
+  return make_forecast(upcoming_scenario(app_, reg_likely), [&](i32 node) {
+    return predictor_.predict_task(
+        node, app::node_data_parallel(node) ? pixels : 0.0);
+  });
 }
 
 ManagedFrame RuntimeManager::step(i32 t) {
   ManagedFrame result;
-  const bool managed = budget_set_;
-
-  if (!budget_set_) {
-    // Initialization phase: run serially and collect the average case.
-    app_.set_stripe_plan(app::serial_plan());
-    result.plan = app::serial_plan();
-    std::vector<NodeForecast> fc = forecast();
-    result.predicted_latency_ms =
-        estimate_latency(app_.config().cost, fc, result.plan);
-    result.record = app_.process_frame(t);
-    result.measured_latency_ms = result.record.latency_ms;
-    result.output_latency_ms = result.record.latency_ms;
-    warmup_latencies_.push_back(result.record.latency_ms);
-    if (narrow<i32>(warmup_latencies_.size()) >= config_.warmup_frames) {
-      budget_ms_ = mean(warmup_latencies_) * config_.budget_headroom;
-      budget_set_ = true;
+  const bool managed = planner_.budget_set();
+  // Initialization phase (no budget yet): run serially at full quality and
+  // collect the average case.
+  PlanDecision decision;
+  if (managed) {
+    decision = planner_.decide(forecast(/*assume_reg_success=*/true),
+                               app_.config().platform.cpu_count);
+    const QualityLevel& q = decision.quality;
+    if (q.level != decision.previous_level) {
+      app_.set_quality(q.extra_mkx_decimation, q.skip_guidewire,
+                       q.zoom_divisor);
     }
-  } else {
-    std::vector<NodeForecast> fc = forecast(/*assume_reg_success=*/true);
-    PlanChoice choice =
-        choose_plan(app_.config().cost, fc, budget_ms_,
-                    config_.max_stripes_per_task,
-                    app_.config().platform.cpu_count);
-    if (!choice.fits_budget && config_.enable_qos) {
-      QosDecision qos = choose_quality_and_plan(
-          app_.config().cost, fc, budget_ms_, config_.max_stripes_per_task,
-          app_.config().platform.cpu_count);
-      app_.set_quality(qos.level.extra_mkx_decimation,
-                       qos.level.skip_guidewire, qos.level.zoom_divisor);
-      applied_quality_ = qos.level;
-      result.quality_level = qos.level.level;
-      choice = qos.plan;
-    } else if (config_.enable_qos) {
-      // Budget fits at full quality: make sure any earlier degradation is
-      // lifted again.
-      app_.set_quality(1, false, 1);
-      applied_quality_ = QualityLevel{};
-    }
-    app_.set_stripe_plan(choice.plan);
-    result.plan = choice.plan;
-    // Report the scenario-aware prediction under the chosen plan (and the
-    // applied QoS level, if any).
-    std::vector<NodeForecast> likely_fc =
-        forecast(/*assume_reg_success=*/false);
-    if (applied_quality_.level > 0) {
-      likely_fc = degrade_forecast(likely_fc, applied_quality_);
-    }
-    result.predicted_latency_ms =
-        estimate_latency(app_.config().cost, likely_fc, choice.plan);
-    result.fits_budget = choice.fits_budget;
-    result.record = app_.process_frame(t);
-    result.measured_latency_ms = result.record.latency_ms;
-    // Output delay line: early frames wait for the budget instant.
-    result.output_latency_ms = std::max(result.measured_latency_ms, budget_ms_);
   }
+  result.plan = decision.choice.plan;
+  result.quality_level = decision.quality.level;
+  result.fits_budget = decision.choice.fits_budget;
+  app_.set_stripe_plan(result.plan);
+  // Managed frames report the scenario-aware prediction under the chosen
+  // plan and quality level.
+  result.predicted_latency_ms = estimate_latency(
+      app_.config().cost,
+      degrade_forecast(forecast(/*assume_reg_success=*/!managed),
+                       decision.quality),
+      result.plan);
+  result.record = app_.process_frame(t);
+  result.measured_latency_ms = result.record.latency_ms;
+  // Output delay line: early managed frames wait for the budget instant.
+  result.output_latency_ms =
+      std::max(result.measured_latency_ms, planner_.budget_ms());
+  if (!managed) planner_.observe_warmup(result.measured_latency_ms);
 
   if (config_.online_observation) {
     // The predictors model *serial, full-quality* execution: normalize the
     // measurements back from the applied stripe plan and QoS level so the
-    // models stay unbiased under repartitioning.
+    // models stay unbiased under repartitioning and degradation.
     graph::FrameRecord normalized = result.record;
     for (graph::TaskExecution& exec : normalized.tasks) {
       if (!exec.executed) continue;
-      if (app::node_data_parallel(exec.node)) {
-        i32 stripes = result.plan[static_cast<usize>(exec.node)];
-        exec.simulated_ms = serial_ms_from_striped(app_.config().cost,
-                                                   exec.simulated_ms, stripes);
-      }
-      if (applied_quality_.level > 0) {
-        if (exec.node == app::kMkxFull || exec.node == app::kMkxRoi) {
-          exec.simulated_ms /= applied_quality_.mkx_cost_factor();
-        } else if (exec.node == app::kZoom) {
-          exec.simulated_ms /= applied_quality_.zoom_cost_factor();
-        }
-      }
+      exec.simulated_ms = serial_full_quality_ms(
+          app_.config().cost, exec.node, exec.simulated_ms,
+          result.plan[static_cast<usize>(exec.node)], result.quality_level);
     }
     predictor_.observe(normalized);
   }
 
-  const bool repartitioned = managed && result.plan != prev_plan_;
-  const bool qos_changed = result.quality_level != prev_quality_;
+  const f64 budget_ms = planner_.budget_ms();
   if (obs::enabled()) {
     obs::FlightRecorder& flight = obs::global().flight;
     flight.record(obs::FrEventType::FrameStart, t, -1,
                   result.predicted_latency_ms);
-    if (managed) {
-      i32 total_stripes = 0;
-      for (i32 s : result.plan) total_stripes += s;
-      flight.record(obs::FrEventType::PlanChoice, t, -1,
-                    static_cast<f64>(total_stripes),
-                    result.predicted_latency_ms);
-    }
-    if (qos_changed) {
-      flight.record(obs::FrEventType::QosTransition, t, -1,
-                    static_cast<f64>(result.quality_level),
-                    static_cast<f64>(prev_quality_));
-    }
+    if (managed) record_decision(t, decision, result.predicted_latency_ms);
     if (scenario_seen_ && result.record.scenario != prev_scenario_) {
       flight.record(obs::FrEventType::ScenarioSwitch, t, -1,
                     static_cast<f64>(result.record.scenario),
                     static_cast<f64>(prev_scenario_));
     }
     flight.record(obs::FrEventType::FrameEnd, t, -1,
-                  result.measured_latency_ms, budget_ms_);
-    if (managed && result.measured_latency_ms > budget_ms_) {
+                  result.measured_latency_ms, budget_ms);
+    if (managed && result.measured_latency_ms > budget_ms) {
       flight.record(obs::FrEventType::DeadlineMiss, t, -1,
-                    result.measured_latency_ms, budget_ms_);
+                    result.measured_latency_ms, budget_ms);
     }
   }
-  prev_plan_ = result.plan;
-  prev_quality_ = result.quality_level;
   prev_scenario_ = result.record.scenario;
   scenario_seen_ = true;
   if (obs::enabled()) {
-    record_frame_observability(result, managed, repartitioned, qos_changed);
+    record_frame_observability(
+        result, managed, decision.plan_changed,
+        decision.quality.level != decision.previous_level);
   }
   return result;
 }
@@ -210,15 +117,16 @@ void RuntimeManager::record_frame_observability(const ManagedFrame& f,
                                                 bool qos_changed) {
   obs::ObsContext& ctx = obs::global();
   obs::MetricsRegistry& m = ctx.metrics;
+  const f64 budget_ms = planner_.budget_ms();
 
   // --- metrics ------------------------------------------------------------
   m.counter("tripleC_frames_total", "Frames processed by the runtime manager")
       .add();
-  if (budget_set_) {
+  if (planner_.budget_set()) {
     m.gauge("tripleC_latency_budget_ms", "Active output-latency budget")
-        .set(budget_ms_);
+        .set(budget_ms);
   }
-  const bool budget_miss = managed && f.measured_latency_ms > budget_ms_;
+  const bool budget_miss = managed && f.measured_latency_ms > budget_ms;
   // Register unconditionally so the family exists (value 0) from frame one.
   obs::Counter& misses = m.counter(
       "tripleC_budget_miss_total",
@@ -273,7 +181,7 @@ void RuntimeManager::record_frame_observability(const ManagedFrame& f,
   ctx.frames.add(obs::FrameSample{f.record.frame, f.record.scenario,
                                   f.quality_level, total_stripes,
                                   f.predicted_latency_ms, f.measured_latency_ms,
-                                  f.output_latency_ms, budget_ms_,
+                                  f.output_latency_ms, budget_ms,
                                   f.fits_budget, error_pct});
 
   // --- spans on the simulated timeline ------------------------------------

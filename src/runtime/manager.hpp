@@ -12,17 +12,15 @@
 
 #include <vector>
 
-#include "analysis/analyzer.hpp"
-#include "analysis/audit.hpp"
 #include "app/stentboost.hpp"
-#include "runtime/partition.hpp"
-#include "runtime/qos.hpp"
+#include "runtime/audit_gate.hpp"
+#include "runtime/planner.hpp"
 #include "tripleC/accuracy.hpp"
 #include "tripleC/graph_predictor.hpp"
 
 namespace tc::rt {
 
-struct ManagerConfig {
+struct ManagerConfig : StartupGates {
   /// Fixed latency budget; <= 0 derives it from the warm-up phase as
   /// mean * budget_headroom.
   f64 latency_budget_ms = 0.0;
@@ -35,22 +33,6 @@ struct ManagerConfig {
   /// When true, the QoS ladder degrades the application quality whenever
   /// even the widest stripe plan misses the budget.
   bool enable_qos = false;
-  /// Run the triplec-lint static passes over the graph, predictor and
-  /// platform at construction, before any frame executes.
-  bool validate_at_startup = true;
-  /// Strict: lint errors throw analysis::AnalysisError from the constructor.
-  /// Permissive: diagnostics are only collected (see validation_report()).
-  analysis::Policy validation_policy = analysis::Policy::Strict;
-  /// Run the triplec-audit schedulability proof (all scenarios × the plan
-  /// search space, per-bus budgets, transition pricing; see
-  /// analysis/audit.hpp) at construction.  Meaningful with a *trained*
-  /// predictor — untrained predictions are 0 ms and the proof is vacuous.
-  bool audit_at_startup = false;
-  /// Strict: audit errors (infeasible reachable scenario, bus-budget
-  /// counterexample) throw analysis::AnalysisError from the constructor.
-  analysis::Policy audit_policy = analysis::Policy::Strict;
-  /// Deadline, pessimism margin, budget fractions of the startup audit.
-  analysis::audit::AuditOptions audit_options;
 };
 
 struct ManagedFrame {
@@ -80,19 +62,21 @@ class RuntimeManager {
   /// Run frames [0, n).
   std::vector<ManagedFrame> run(i32 n);
 
-  [[nodiscard]] f64 latency_budget_ms() const { return budget_ms_; }
-  [[nodiscard]] bool budget_initialized() const { return budget_set_; }
+  [[nodiscard]] f64 latency_budget_ms() const { return planner_.budget_ms(); }
+  [[nodiscard]] bool budget_initialized() const {
+    return planner_.budget_set();
+  }
 
   /// Diagnostics of the startup validation run (empty when
   /// validate_at_startup is off or nothing fired).
   [[nodiscard]] const analysis::Report& validation_report() const {
-    return validation_report_;
+    return startup_.validation;
   }
 
   /// Diagnostics of the startup schedulability audit (empty when
   /// audit_at_startup is off or nothing fired).
   [[nodiscard]] const analysis::Report& audit_report() const {
-    return audit_report_;
+    return startup_.audit;
   }
 
   /// Forecast of the coming frame (exposed for tests/benches).
@@ -113,18 +97,12 @@ class RuntimeManager {
   app::StentBoostApp& app_;
   model::GraphPredictor& predictor_;
   ManagerConfig config_;
-  analysis::Report validation_report_;
-  analysis::Report audit_report_;
-  f64 budget_ms_ = 0.0;
-  bool budget_set_ = false;
-  std::vector<f64> warmup_latencies_;
-  /// Quality level currently applied to the app (QoS).
-  QualityLevel applied_quality_;
+  StartupReports startup_;
+  /// Budget, QoS level and previous plan (the shared control loop).
+  Planner planner_;
   /// Simulated-timeline cursor for span tracing: frames are laid out
   /// back-to-back at their output (delay-line) latency.
   f64 sim_clock_ms_ = 0.0;
-  app::StripePlan prev_plan_ = app::serial_plan();
-  i32 prev_quality_ = 0;
   /// Scenario of the previous frame (ScenarioSwitch flight events).
   graph::ScenarioId prev_scenario_ = 0;
   bool scenario_seen_ = false;

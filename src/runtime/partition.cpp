@@ -3,14 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
-#include "analysis/schedulability.hpp"
-
 namespace tc::rt {
 
-namespace {
-
-/// Adapt the runtime's per-node forecasts to the generic schedulability
-/// core's node description (names come from the application node table).
 std::vector<analysis::sched::ScheduleNode> to_schedule_nodes(
     std::span<const NodeForecast> forecast) {
   std::vector<analysis::sched::ScheduleNode> nodes(forecast.size());
@@ -22,6 +16,8 @@ std::vector<analysis::sched::ScheduleNode> to_schedule_nodes(
   }
   return nodes;
 }
+
+namespace {
 
 app::StripePlan to_stripe_plan(const analysis::sched::PlanVec& plan) {
   app::StripePlan out = app::serial_plan();
@@ -36,14 +32,8 @@ app::StripePlan to_stripe_plan(const analysis::sched::PlanVec& plan) {
 f64 estimate_latency(const plat::CostParams& params,
                      std::span<const NodeForecast> forecast,
                      const app::StripePlan& plan) {
-  f64 total = 0.0;
-  for (usize node = 0; node < forecast.size(); ++node) {
-    const NodeForecast& f = forecast[node];
-    if (!f.active) continue;
-    i32 stripes = f.data_parallel ? plan[node] : 1;
-    total += plat::striped_ms_from_serial(params, f.serial_ms, stripes);
-  }
-  return total;
+  return analysis::sched::plan_latency_ms(params, to_schedule_nodes(forecast),
+                                          plan);
 }
 
 std::vector<PlanCandidate> enumerate_plan_candidates(

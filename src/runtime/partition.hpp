@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/schedulability.hpp"
 #include "app/stentboost.hpp"
 #include "platform/cost_model.hpp"
 
@@ -30,6 +31,11 @@ struct NodeForecast {
 // and the static audit.  Unqualified calls on a plat::CostParams argument
 // resolve there via ADL.
 
+/// Adapt per-node forecasts to the generic schedulability core's node
+/// description (names come from the application node table).
+[[nodiscard]] std::vector<analysis::sched::ScheduleNode> to_schedule_nodes(
+    std::span<const NodeForecast> forecast);
+
 /// Frame latency estimate for a plan: sum over active nodes of their
 /// (striped or serial) estimated time.
 [[nodiscard]] f64 estimate_latency(
@@ -41,7 +47,7 @@ struct NodeForecast {
 /// expensive data-parallel active node.  When even the widest plan misses
 /// the budget, the widest plan is returned.
 struct PlanChoice {
-  app::StripePlan plan;
+  app::StripePlan plan = app::serial_plan();
   f64 estimated_ms = 0.0;
   bool fits_budget = false;
 };

@@ -1,5 +1,6 @@
 #include "runtime/qos.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "obs/obs.hpp"
@@ -19,12 +20,9 @@ std::span<const QualityLevel> quality_ladder() {
 std::vector<NodeForecast> degrade_forecast(
     std::span<const NodeForecast> forecast, const QualityLevel& level) {
   std::vector<NodeForecast> out(forecast.begin(), forecast.end());
-  auto scale = [&out](i32 node, f64 factor) {
-    out[static_cast<usize>(node)].serial_ms *= factor;
-  };
-  scale(app::kMkxFull, level.mkx_cost_factor());
-  scale(app::kMkxRoi, level.mkx_cost_factor());
-  scale(app::kZoom, level.zoom_cost_factor());
+  for (usize node = 0; node < out.size(); ++node) {
+    out[node].serial_ms *= level.cost_factor(narrow<i32>(node));
+  }
   if (level.skip_guidewire) {
     out[static_cast<usize>(app::kGwExt)].active = false;
   }
@@ -34,11 +32,14 @@ std::vector<NodeForecast> degrade_forecast(
 QosDecision choose_quality_and_plan(const plat::CostParams& params,
                                     std::span<const NodeForecast> forecast,
                                     f64 budget_ms, i32 max_stripes_per_task,
-                                    i32 cpu_count) {
+                                    i32 cpu_count, i32 start_level) {
   QosDecision decision;
   i32 ladder_steps = 0;
   bool fit = false;
-  for (const QualityLevel& level : quality_ladder()) {
+  const std::span<const QualityLevel> ladder = quality_ladder();
+  const i32 last = narrow<i32>(ladder.size()) - 1;
+  for (const QualityLevel& level :
+       ladder.subspan(static_cast<usize>(std::clamp(start_level, 0, last)))) {
     ++ladder_steps;
     std::vector<NodeForecast> degraded = degrade_forecast(forecast, level);
     PlanChoice plan = choose_plan(params, degraded, budget_ms,

@@ -12,9 +12,9 @@
 //   level 2  + skip the guide-wire stability check
 //   level 3  + display zoom at half resolution
 //
-// The controller is purely advisory: it scales the latency forecast by
-// analytically known factors and reports the level to apply; StentBoostApp
-// implements the knobs (set_quality).
+// The ladder is advisory: degrade_forecast scales the latency forecast by
+// analytically known factors, rt::Planner (runtime/planner.hpp) walks it,
+// and StentBoostApp implements the knobs (set_quality).
 #pragma once
 
 #include <span>
@@ -43,6 +43,12 @@ struct QualityLevel {
     f64 d = static_cast<f64>(zoom_divisor);
     return 1.0 / (d * d);
   }
+  /// Cost factor of `node` at this level (1 for the nodes it leaves alone).
+  [[nodiscard]] f64 cost_factor(i32 node) const {
+    if (node == app::kMkxFull || node == app::kMkxRoi) return mkx_cost_factor();
+    if (node == app::kZoom) return zoom_cost_factor();
+    return 1.0;
+  }
 };
 
 /// The built-in quality ladder, best quality first.
@@ -58,11 +64,12 @@ struct QosDecision {
   PlanChoice plan;
 };
 
-/// Walk the quality ladder from full quality downwards, choosing the first
-/// level whose best plan fits the budget; falls back to the lowest level's
-/// widest plan when nothing fits.
+/// Walk the quality ladder downwards from `start_level` (full quality by
+/// default), choosing the first level whose best plan fits the budget; falls
+/// back to the lowest level's widest plan when nothing fits.
 [[nodiscard]] QosDecision choose_quality_and_plan(
     const plat::CostParams& params, std::span<const NodeForecast> forecast,
-    f64 budget_ms, i32 max_stripes_per_task, i32 cpu_count);
+    f64 budget_ms, i32 max_stripes_per_task, i32 cpu_count,
+    i32 start_level = 0);
 
 }  // namespace tc::rt
