@@ -68,18 +68,37 @@ void BM_TranslateBilinear(benchmark::State& state) {
 }
 BENCHMARK(BM_TranslateBilinear)->Arg(256);
 
+// ZOOM at the workloads' shapes: (source ROI side, output side).  170 -> 512
+// is pipeline_512's ROI zoom; 256 -> 256 the full-frame 256² zoom; 256 -> 128
+// the same at the half-zoom QoS level.
 void BM_Zoom(benchmark::State& state) {
-  img::ImageF32 roi = random_image(128, 5);
+  const i32 out = static_cast<i32>(state.range(1));
+  img::ImageF32 roi = random_image(static_cast<i32>(state.range(0)), 5);
   img::ZoomParams params;
-  params.output_width = 512;
-  params.output_height = 512;
+  params.output_width = out;
+  params.output_height = out;
   for (auto _ : state) {
     img::ZoomResult r = img::zoom(roi, params);
     benchmark::DoNotOptimize(r.output.data());
   }
-  state.SetItemsProcessed(state.iterations() * 512 * 512);
+  state.SetItemsProcessed(state.iterations() * out * out);
 }
-BENCHMARK(BM_Zoom);
+BENCHMARK(BM_Zoom)->Args({170, 512})->Args({256, 256})->Args({256, 128});
+
+// f32 bicubic resample of a centred source rectangle of a 256² image:
+// (rectangle side, output side).
+void BM_ResampleBicubic(benchmark::State& state) {
+  const i32 side = static_cast<i32>(state.range(0));
+  const i32 out = static_cast<i32>(state.range(1));
+  img::ImageF32 im = random_image(256, 7);
+  const Rect src{(256 - side) / 2, (256 - side) / 2, side, side};
+  for (auto _ : state) {
+    img::ImageF32 r = img::resample_bicubic(im, out, out, src);
+    benchmark::DoNotOptimize(r.data());
+  }
+  state.SetItemsProcessed(state.iterations() * out * out);
+}
+BENCHMARK(BM_ResampleBicubic)->Args({170, 512})->Args({256, 128});
 
 void BM_SyntheticRender(benchmark::State& state) {
   const i32 size = static_cast<i32>(state.range(0));

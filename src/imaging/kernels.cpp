@@ -1,5 +1,7 @@
 #include "imaging/kernels.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -223,41 +225,103 @@ f32 bicubic_sample(const ImageF32& in, f64 x, f64 y) {
   return acc;
 }
 
-ImageF32 resample_bicubic(const ImageF32& in, i32 out_w, i32 out_h, Rect src,
-                          WorkReport* wr) {
-  assert(out_w > 0 && out_h > 0 && !src.empty());
-  ImageF32 out(out_w, out_h);
-  f64 sx = static_cast<f64>(src.w) / static_cast<f64>(out_w);
-  f64 sy = static_cast<f64>(src.h) / static_cast<f64>(out_h);
-  for (i32 y = 0; y < out_h; ++y) {
-    for (i32 x = 0; x < out_w; ++x) {
-      f64 srcx = src.x + (static_cast<f64>(x) + 0.5) * sx - 0.5;
-      f64 srcy = src.y + (static_cast<f64>(y) + 0.5) * sy - 0.5;
-      out.at(x, y) = bicubic_sample(in, srcx, srcy);
+namespace {
+/// The four Catmull-Rom taps of one output coordinate along one axis: the
+/// clamped source indices and their weights, in bicubic_sample's order.
+struct CubicTaps {
+  std::array<i32, 4> index;
+  std::array<f32, 4> weight;
+};
+
+CubicTaps cubic_taps(f64 s, i32 extent) {
+  const i32 s0 = static_cast<i32>(std::floor(s));
+  const f32 f = static_cast<f32>(s - s0);
+  CubicTaps taps{};
+  for (i32 k = 0; k < 4; ++k) {
+    taps.index[k] = std::clamp(s0 + k - 1, 0, extent - 1);
+    taps.weight[k] = catmull_rom(static_cast<f32>(k - 1) - f);
+  }
+  return taps;
+}
+
+/// Output columns per tile of the separable resampler.  The tile's taps, its
+/// four-row ring and its output row (13 KiB) live on the stack and fit in L1,
+/// whatever the output width.
+constexpr usize kResampleTile = 256;
+
+/// Separable Catmull-Rom resample of the rectangle `src` of `in` onto an
+/// out_w x out_h grid, producing output rows [rows.lo, rows.hi) and handing
+/// each finished row segment to `sink(y, x0, segment)`.
+///
+/// Per tile of output columns, a horizontal pass filters each source row the
+/// band needs once, into a ring of four rows (the taps of one output row are
+/// at most four consecutive source rows, so they occupy distinct slots, and
+/// rows only move forward); a vertical pass then blends the ring.  Both
+/// passes keep bicubic_sample's summation order — 0.0f starts, taps in index
+/// order, rows with zero weight skipped — so every output value is
+/// bit-identical to it.
+template <typename Sink>
+void resample_separable(const ImageF32& in, i32 out_w, i32 out_h, Rect src,
+                        IndexRange rows, Sink&& sink) {
+  assert(out_w > 0 && out_h > 0 && !src.empty() && !in.empty());
+  assert(rows.lo >= 0 && rows.hi <= out_h);
+  if (rows.empty()) return;
+  const f64 sx = static_cast<f64>(src.w) / static_cast<f64>(out_w);
+  const f64 sy = static_cast<f64>(src.h) / static_cast<f64>(out_h);
+  std::array<CubicTaps, kResampleTile> cols{};
+  std::array<f32, 4 * kResampleTile> ring{};
+  std::array<f32, kResampleTile> line{};
+  for (i32 x0 = 0; x0 < out_w; x0 += static_cast<i32>(kResampleTile)) {
+    const usize w = std::min(kResampleTile, static_cast<usize>(out_w - x0));
+    for (usize x = 0; x < w; ++x) {
+      const i32 ox = x0 + static_cast<i32>(x);
+      cols[x] = cubic_taps(src.x + (static_cast<f64>(ox) + 0.5) * sx - 0.5,
+                           in.width());
+    }
+    std::array<i32, 4> ring_row = {-1, -1, -1, -1};
+    for (i32 y = rows.lo; y < rows.hi; ++y) {
+      const CubicTaps ty = cubic_taps(
+          src.y + (static_cast<f64>(y) + 0.5) * sy - 0.5, in.height());
+      std::fill_n(line.begin(), w, 0.0f);
+      for (usize k = 0; k < 4; ++k) {
+        if (ty.weight[k] == 0.0f) continue;
+        const i32 r = ty.index[k];
+        const usize slot = static_cast<usize>(r % 4);
+        f32* h = ring.data() + slot * kResampleTile;
+        if (ring_row[slot] != r) {
+          const f32* src_row = in.row(r);
+          for (usize x = 0; x < w; ++x) {
+            const CubicTaps& tx = cols[x];
+            f32 acc = 0.0f;
+            for (usize i = 0; i < 4; ++i) {
+              acc += tx.weight[i] * src_row[tx.index[i]];
+            }
+            h[x] = acc;
+          }
+          ring_row[slot] = r;
+        }
+        const f32 wy = ty.weight[k];
+        for (usize x = 0; x < w; ++x) line[x] += wy * h[x];
+      }
+      sink(y, x0, std::span<const f32>(line.data(), w));
     }
   }
-  if (wr != nullptr) {
-    u64 pixels = static_cast<u64>(out_w) * static_cast<u64>(out_h);
-    wr->pixel_ops += pixels * 40;  // 16 taps, ~2.5 ops each
-    wr->bytes_read += pixels * 16 * sizeof(f32);
-    wr->bytes_written += pixels * sizeof(f32);
-  }
+}
+}  // namespace
+
+ImageF32 resample_bicubic(const ImageF32& in, i32 out_w, i32 out_h, Rect src,
+                          WorkReport* wr) {
+  ImageF32 out(out_w, out_h);
+  resample_bicubic_rows(in, out, src, IndexRange{0, out_h}, wr);
   return out;
 }
 
 void resample_bicubic_rows(const ImageF32& in, ImageF32& out, Rect src,
                            IndexRange rows, WorkReport* wr) {
-  assert(out.width() > 0 && out.height() > 0 && !src.empty());
-  assert(rows.lo >= 0 && rows.hi <= out.height());
-  f64 sx = static_cast<f64>(src.w) / static_cast<f64>(out.width());
-  f64 sy = static_cast<f64>(src.h) / static_cast<f64>(out.height());
-  for (i32 y = rows.lo; y < rows.hi; ++y) {
-    for (i32 x = 0; x < out.width(); ++x) {
-      f64 srcx = src.x + (static_cast<f64>(x) + 0.5) * sx - 0.5;
-      f64 srcy = src.y + (static_cast<f64>(y) + 0.5) * sy - 0.5;
-      out.at(x, y) = bicubic_sample(in, srcx, srcy);
-    }
-  }
+  resample_separable(in, out.width(), out.height(), src, rows,
+                     [&out](i32 y, i32 x0, std::span<const f32> seg) {
+                       std::copy(seg.begin(), seg.end(), out.row(y) + x0);
+                     });
   if (wr != nullptr) {
     u64 pixels = static_cast<u64>(out.width()) *
                  static_cast<u64>(rows.length() < 0 ? 0 : rows.length());
@@ -265,6 +329,18 @@ void resample_bicubic_rows(const ImageF32& in, ImageF32& out, Rect src,
     wr->bytes_read += pixels * 16 * sizeof(f32);
     wr->bytes_written += pixels * sizeof(f32);
   }
+}
+
+void resample_bicubic_rows_u16(const ImageF32& in, ImageU16& out, Rect src,
+                               IndexRange rows) {
+  resample_separable(
+      in, out.width(), out.height(), src, rows,
+      [&out](i32 y, i32 x0, std::span<const f32> seg) {
+        u16* dst = out.row(y) + x0;
+        for (usize x = 0; x < seg.size(); ++x) {
+          dst[x] = static_cast<u16>(std::clamp(seg[x], 0.0f, 65535.0f) + 0.5f);
+        }
+      });
 }
 
 ImageF32 warp_rigid(const ImageF32& in, f64 dx, f64 dy, f64 angle,

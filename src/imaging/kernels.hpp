@@ -69,7 +69,8 @@ void ridgeness_rows(const HessianImages& h, ImageF32& out, IndexRange rows,
 [[nodiscard]] f32 bicubic_sample(const ImageF32& in, f64 x, f64 y);
 
 /// Resample the source rectangle `src` of `in` to an out_w x out_h image with
-/// bicubic interpolation (the ZOOM task).
+/// bicubic interpolation (the ZOOM task).  A separable kernel: per output
+/// pixel the result is bit-identical to bicubic_sample.
 [[nodiscard]] ImageF32 resample_bicubic(const ImageF32& in, i32 out_w,
                                         i32 out_h, Rect src,
                                         WorkReport* wr = nullptr);
@@ -79,6 +80,11 @@ void ridgeness_rows(const HessianImages& h, ImageF32& out, IndexRange rows,
 /// so concurrent stripes compose bit-identically to resample_bicubic.
 void resample_bicubic_rows(const ImageF32& in, ImageF32& out, Rect src,
                            IndexRange rows, WorkReport* wr = nullptr);
+
+/// As resample_bicubic_rows, writing each sample clamped to [0, 65535] and
+/// rounded to u16 (the ZOOM display write).  No work is accounted.
+void resample_bicubic_rows_u16(const ImageF32& in, ImageU16& out, Rect src,
+                               IndexRange rows);
 
 /// Translate an image by a sub-pixel offset with bilinear interpolation
 /// (used for motion compensation in the ENH task).

@@ -1,6 +1,6 @@
 // ZOOM — interpolating zoom of the enhanced ROI to the display resolution.
 
-#include <cmath>
+#include <cassert>
 
 #include "imaging/pipeline.hpp"
 
@@ -12,16 +12,9 @@ void zoom_rows(const ImageF32& enhanced, const ZoomParams& params,
   const i32 oh = params.output_height;
   const i32 y0 = std::clamp(rows.lo, 0, oh);
   const i32 y1 = std::clamp(rows.hi, 0, oh);
-  const f64 sx = static_cast<f64>(enhanced.width()) / static_cast<f64>(ow);
-  const f64 sy = static_cast<f64>(enhanced.height()) / static_cast<f64>(oh);
-  for (i32 y = y0; y < y1; ++y) {
-    for (i32 x = 0; x < ow; ++x) {
-      f64 srcx = (static_cast<f64>(x) + 0.5) * sx - 0.5;
-      f64 srcy = (static_cast<f64>(y) + 0.5) * sy - 0.5;
-      f32 v = bicubic_sample(enhanced, srcx, srcy);
-      out.at(x, y) = static_cast<u16>(std::clamp(v, 0.0f, 65535.0f) + 0.5f);
-    }
-  }
+  assert(out.width() == ow && out.height() == oh);
+  resample_bicubic_rows_u16(enhanced, out, enhanced.full_rect(),
+                            IndexRange{y0, y1});
   u64 pixels = static_cast<u64>(ow) * static_cast<u64>(y1 - y0);
   work.pixel_ops += pixels * 40;
   work.bytes_read += pixels * 16 * sizeof(f32);

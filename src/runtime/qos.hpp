@@ -13,8 +13,9 @@
 //   level 3  + display zoom at half resolution
 //
 // The ladder is advisory: degrade_forecast scales the latency forecast by
-// analytically known factors, rt::Planner (runtime/planner.hpp) walks it,
-// and StentBoostApp implements the knobs (set_quality).
+// measured cost models of the knobs (QualityLevel::*_cost_factor),
+// rt::Planner (runtime/planner.hpp) walks it, and StentBoostApp implements
+// the knobs (set_quality).
 #pragma once
 
 #include <span>
@@ -25,6 +26,15 @@
 
 namespace tc::rt {
 
+/// Share of a full-quality ZOOM that shrinks only with the output width:
+/// the separable resampler's horizontal pass filters every source row the
+/// output needs, so its cost scales 1/d, while the vertical pass scales 1/d².
+/// Measured as the degraded/full ZOOM host-time ratio at 256² (DESIGN §5d).
+inline constexpr f64 kZoomWidthShare = 0.3;
+/// Share of a full-quality MKX that grid decimation does not shrink: the
+/// box-average pass reads every full-resolution pixel (DESIGN §5d).
+inline constexpr f64 kMkxFixedShare = 0.2;
+
 struct QualityLevel {
   i32 level = 0;
   std::string_view name = "full";
@@ -34,14 +44,16 @@ struct QualityLevel {
   /// Display-zoom output divisor (1 = full resolution).
   i32 zoom_divisor = 1;
 
-  /// Analytical forecast scale factors for the affected nodes.
+  /// Forecast scale factors for the affected nodes, exactly 1 at d = 1.
+  /// MKX: a + (1 - a)/d², written as (1 + a(d² - 1))/d².
   [[nodiscard]] f64 mkx_cost_factor() const {
     f64 d = static_cast<f64>(extra_mkx_decimation);
-    return 1.0 / (d * d);
+    return (1.0 + kMkxFixedShare * (d * d - 1.0)) / (d * d);
   }
+  /// ZOOM: s/d + (1 - s)/d², written as (1 + s(d - 1))/d².
   [[nodiscard]] f64 zoom_cost_factor() const {
     f64 d = static_cast<f64>(zoom_divisor);
-    return 1.0 / (d * d);
+    return (1.0 + kZoomWidthShare * (d - 1.0)) / (d * d);
   }
   /// Cost factor of `node` at this level (1 for the nodes it leaves alone).
   [[nodiscard]] f64 cost_factor(i32 node) const {

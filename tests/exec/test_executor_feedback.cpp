@@ -74,13 +74,7 @@ TEST(ExecutorFeedback, DegradedFramesTrainFullQualityFilters) {
 
   EXPECT_NEAR(median(zoom), 1.0, 0.25);
   EXPECT_NEAR(median(frame), 1.0, 0.25);
-  // MKX_FULL is normalized by the ladder's analytical 1/d² factor, but the
-  // node's box-average pass reads every full-resolution pixel whatever the
-  // grid decimation: at 256² the degraded node costs about 0.4x full
-  // quality, not 0.25x, so the normalized filter reads about 1.6x.  A filter
-  // fed unnormalized degraded times reads about 0.4x.
-  EXPECT_GT(median(mkx), 0.75);
-  EXPECT_LT(median(mkx), 2.0);
+  EXPECT_NEAR(median(mkx), 1.0, 0.25);
 }
 
 // The flight recorder's NodeTiming prediction is the node's serial estimate

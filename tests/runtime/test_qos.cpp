@@ -50,8 +50,9 @@ TEST(Qos, CostFactorsMatchDecimation) {
   QualityLevel level;
   level.extra_mkx_decimation = 2;
   level.zoom_divisor = 2;
-  EXPECT_DOUBLE_EQ(level.mkx_cost_factor(), 0.25);
-  EXPECT_DOUBLE_EQ(level.zoom_cost_factor(), 0.25);
+  // MKX: a + (1 - a)/d² with a = 0.2; ZOOM: s/d + (1 - s)/d² with s = 0.3.
+  EXPECT_DOUBLE_EQ(level.mkx_cost_factor(), 0.4);
+  EXPECT_DOUBLE_EQ(level.zoom_cost_factor(), 0.325);
 }
 
 TEST(Qos, DegradeForecastScalesAffectedNodes) {
@@ -61,8 +62,8 @@ TEST(Qos, DegradeForecastScalesAffectedNodes) {
   level.skip_guidewire = true;
   level.zoom_divisor = 2;
   auto degraded = degrade_forecast(fc, level);
-  EXPECT_DOUBLE_EQ(degraded[app::kMkxFull].serial_ms, 4.0);
-  EXPECT_DOUBLE_EQ(degraded[app::kZoom].serial_ms, 5.0);
+  EXPECT_DOUBLE_EQ(degraded[app::kMkxFull].serial_ms, 6.4);
+  EXPECT_DOUBLE_EQ(degraded[app::kZoom].serial_ms, 6.5);
   EXPECT_FALSE(degraded[app::kGwExt].active);
   // Unaffected nodes unchanged.
   EXPECT_DOUBLE_EQ(degraded[app::kRdgFull].serial_ms, 45.0);
