@@ -100,6 +100,33 @@ void BM_ResampleBicubic(benchmark::State& state) {
 }
 BENCHMARK(BM_ResampleBicubic)->Args({170, 512})->Args({256, 128});
 
+// ENH at the workloads' frame sizes: one serial steady-state integration
+// step, in place, with the current couple rotated 8 degrees against the
+// reference.
+void BM_Enhance(benchmark::State& state) {
+  const i32 size = static_cast<i32>(state.range(0));
+  const img::ImageF32 frame = random_image(size, 8);
+  img::ImageF32 acc = random_image(size, 9);
+  const f64 c = 0.5 * size;
+  const f64 arm = 0.09 * size;
+  const f64 phi = 8.0 * 3.14159265358979323846 / 180.0;
+  const img::Couple ref{Point2f{c - arm, c}, Point2f{c + arm, c}, 1.0};
+  const img::Couple cur{Point2f{c + 3.0 - arm * std::cos(phi),
+                                c - 2.0 - arm * std::sin(phi)},
+                        Point2f{c + 3.0 + arm * std::cos(phi),
+                                c - 2.0 + arm * std::sin(phi)},
+                        1.0};
+  const img::EnhanceParams params;
+  for (auto _ : state) {
+    img::enhance_rows(frame, cur, ref, params, /*restart=*/false, acc,
+                      IndexRange{0, size});
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * size * size);
+}
+BENCHMARK(BM_Enhance)->Arg(512)->Arg(256);
+
 void BM_SyntheticRender(benchmark::State& state) {
   const i32 size = static_cast<i32>(state.range(0));
   img::SequenceParams p;

@@ -620,12 +620,19 @@ std::optional<img::WorkReport> StentBoostApp::run_enh(FrameContext& ctx) {
   ctx.back.ref_roi = clamp_rect(
       Rect{rcx - cur_roi.w / 2, rcy - cur_roi.h / 2, cur_roi.w, cur_roi.h},
       frame.width(), frame.height());
-  img::EnhanceResult result =
-      img::enhance(frame, ctx.back.ref_roi, ctx.back.accumulator, *ctx.couple,
-                   *ctx.back.ref_couple, config_.enhance);
-  ctx.back.accumulator = std::move(result.accumulator);
-  ctx.enhanced_roi = std::move(result.enhanced_roi);
-  return result.work;
+  // The accumulator is updated in place, in the planned row bands (the
+  // cost model prices them from the plan, so no per-stripe reports).
+  img::ImageF32& acc = ctx.back.accumulator;
+  const bool restart = acc.empty() || acc.width() != frame.width() ||
+                       acc.height() != frame.height();
+  acc.ensure(frame.width(), frame.height());
+  run_instances(ctx, kEnh, frame.height(), std::max(ctx.plan[kEnh], 1),
+                [&](i32, IndexRange rows) {
+                  img::enhance_rows(frame, *ctx.couple, *ctx.back.ref_couple,
+                                    config_.enhance, restart, acc, rows);
+                });
+  acc.crop(ctx.back.ref_roi, ctx.enhanced_roi);
+  return img::enhance_work(frame.size(), restart, ctx.back.ref_roi);
 }
 
 std::optional<img::WorkReport> StentBoostApp::run_zoom(FrameContext& ctx) {

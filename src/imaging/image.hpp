@@ -83,13 +83,20 @@ class Image {
 
   /// Copy out a sub-rectangle (clamped to the image bounds).
   [[nodiscard]] Image<T> crop(Rect r) const {
+    Image<T> out;
+    crop(r, out);
+    return out;
+  }
+
+  /// As crop(r), into `out` (reshaped with ensure, so a same-sized `out`
+  /// keeps its allocation).
+  void crop(Rect r, Image<T>& out) const {
     Rect c = clamp_rect(r, width_, height_);
-    Image<T> out(c.w, c.h);
+    out.ensure(c.w, c.h);
     for (i32 y = 0; y < c.h; ++y) {
       const T* src = row(c.y + y) + c.x;
       std::copy(src, src + c.w, out.row(y));
     }
-    return out;
   }
 
   bool operator==(const Image<T>& other) const {

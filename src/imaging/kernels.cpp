@@ -182,18 +182,49 @@ ImageF32 temporal_difference(const ImageF32& a, const ImageF32& b,
   return out;
 }
 
+namespace {
+/// Blend of a 2x2 footprint at fractional offsets (fx, fy) — the one
+/// bilinear formula of bilinear_sample and bilinear_gather.
+inline f32 bilinear_blend(f32 v00, f32 v10, f32 v01, f32 v11, f32 fx,
+                          f32 fy) {
+  f32 top = v00 * (1.0f - fx) + v10 * fx;
+  f32 bot = v01 * (1.0f - fx) + v11 * fx;
+  return top * (1.0f - fy) + bot * fy;
+}
+}  // namespace
+
 f32 bilinear_sample(const ImageF32& in, f64 x, f64 y) {
   i32 x0 = static_cast<i32>(std::floor(x));
   i32 y0 = static_cast<i32>(std::floor(y));
   f32 fx = static_cast<f32>(x - x0);
   f32 fy = static_cast<f32>(y - y0);
-  f32 v00 = in.at_clamped(x0, y0);
-  f32 v10 = in.at_clamped(x0 + 1, y0);
-  f32 v01 = in.at_clamped(x0, y0 + 1);
-  f32 v11 = in.at_clamped(x0 + 1, y0 + 1);
-  f32 top = v00 * (1.0f - fx) + v10 * fx;
-  f32 bot = v01 * (1.0f - fx) + v11 * fx;
-  return top * (1.0f - fy) + bot * fy;
+  return bilinear_blend(in.at_clamped(x0, y0), in.at_clamped(x0 + 1, y0),
+                        in.at_clamped(x0, y0 + 1),
+                        in.at_clamped(x0 + 1, y0 + 1), fx, fy);
+}
+
+void bilinear_gather(const ImageF32& in, const BilinearCoords& c, usize n,
+                     f32* out) {
+  assert(n <= kBilinearTile);
+  const f64 x_hi = static_cast<f64>(in.width() - 1);
+  const f64 y_hi = static_cast<f64>(in.height() - 1);
+  const usize stride = static_cast<usize>(in.width());
+  for (usize i = 0; i < n; ++i) {
+    const f64 x = c.x[i];
+    const f64 y = c.y[i];
+    if (x >= 0.0 && x < x_hi && y >= 0.0 && y < y_hi) {
+      // The 2x2 footprint is inside: truncation is floor, nothing clamps.
+      const i32 x0 = static_cast<i32>(x);
+      const i32 y0 = static_cast<i32>(y);
+      const f32* r0 = in.row(y0) + x0;
+      const f32* r1 = r0 + stride;
+      out[i] = bilinear_blend(r0[0], r0[1], r1[0], r1[1],
+                              static_cast<f32>(x - x0),
+                              static_cast<f32>(y - y0));
+    } else {
+      out[i] = bilinear_sample(in, x, y);
+    }
+  }
 }
 
 namespace {
@@ -343,23 +374,45 @@ void resample_bicubic_rows_u16(const ImageF32& in, ImageU16& out, Rect src,
       });
 }
 
+namespace {
+/// Coordinates of translate_bilinear: out(x, y) = in(x + dx, y + dy).
+class TranslateCoords {
+ public:
+  TranslateCoords(f64 dx, f64 dy) : dx_(dx), dy_(dy) {}
+  void columns(i32 x0, usize /*n*/) { x0_ = x0; }
+  void row(i32 y, usize n, BilinearCoords& c) const {
+    const f64 sy = static_cast<f64>(y) + dy_;
+    for (usize i = 0; i < n; ++i) {
+      c.x[i] = static_cast<f64>(x0_ + static_cast<i32>(i)) + dx_;
+      c.y[i] = sy;
+    }
+  }
+
+ private:
+  f64 dx_;
+  f64 dy_;
+  i32 x0_ = 0;
+};
+
+/// Whole-image warp of `in` through `coords`, copied into a new image.
+template <typename Coords>
+ImageF32 warp_image(const ImageF32& in, Coords& coords) {
+  ImageF32 out(in.width(), in.height());
+  bilinear_rows(in, in.width(), IndexRange{0, in.height()}, coords,
+                [&out](i32 y, i32 x0, std::span<const f32> seg) {
+                  std::copy(seg.begin(), seg.end(), out.row(y) + x0);
+                });
+  return out;
+}
+}  // namespace
+
 ImageF32 warp_rigid(const ImageF32& in, f64 dx, f64 dy, f64 angle,
                     Point2f center, WorkReport* wr) {
   if (angle == 0.0) return translate_bilinear(in, dx, dy, wr);
-  ImageF32 out(in.width(), in.height());
-  const f64 ca = std::cos(-angle);
-  const f64 sa = std::sin(-angle);
   // Inverse of "rotate about center, then translate by d":
   // source = center + R(-angle) * (p - center - d).
-  for (i32 y = 0; y < in.height(); ++y) {
-    for (i32 x = 0; x < in.width(); ++x) {
-      f64 rx = static_cast<f64>(x) - center.x - dx;
-      f64 ry = static_cast<f64>(y) - center.y - dy;
-      f64 sx2 = center.x + ca * rx - sa * ry;
-      f64 sy2 = center.y + sa * rx + ca * ry;
-      out.at(x, y) = bilinear_sample(in, sx2, sy2);
-    }
-  }
+  RigidCoords coords(center, center, Point2f{dx, dy}, angle);
+  ImageF32 out = warp_image(in, coords);
   if (wr != nullptr) {
     u64 pixels = in.size();
     wr->pixel_ops += pixels * 22;  // rotation math on top of the gather
@@ -371,13 +424,8 @@ ImageF32 warp_rigid(const ImageF32& in, f64 dx, f64 dy, f64 angle,
 
 ImageF32 translate_bilinear(const ImageF32& in, f64 dx, f64 dy,
                             WorkReport* wr) {
-  ImageF32 out(in.width(), in.height());
-  for (i32 y = 0; y < in.height(); ++y) {
-    for (i32 x = 0; x < in.width(); ++x) {
-      out.at(x, y) = bilinear_sample(in, static_cast<f64>(x) + dx,
-                                     static_cast<f64>(y) + dy);
-    }
-  }
+  TranslateCoords coords(dx, dy);
+  ImageF32 out = warp_image(in, coords);
   if (wr != nullptr) {
     u64 pixels = in.size();
     // Bilinear gather is memory-bound: account the 4-tap fetch + blend at an

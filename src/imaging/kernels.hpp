@@ -6,6 +6,9 @@
 // full input image.  All kernels optionally accumulate a WorkReport.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -65,6 +68,90 @@ void ridgeness_rows(const HessianImages& h, ImageF32& out, IndexRange rows,
 /// Bilinear sample with border clamping.
 [[nodiscard]] f32 bilinear_sample(const ImageF32& in, f64 x, f64 y);
 
+/// Output columns per tile of the bilinear row kernel: a tile's source
+/// coordinates, per-column terms and samples (9 KiB) live on the stack,
+/// whatever the output width.
+inline constexpr usize kBilinearTile = 256;
+
+/// Source coordinates of one tile row: output column x0 + i samples the
+/// source at (x[i], y[i]).
+struct BilinearCoords {
+  std::array<f64, kBilinearTile> x;
+  std::array<f64, kBilinearTile> y;
+};
+
+/// Sample `in` at the first `n` points of `c` into `out`, bit-identical to
+/// bilinear_sample: points whose 2x2 footprint lies inside the image skip
+/// the clamping, the rest go through bilinear_sample.
+void bilinear_gather(const ImageF32& in, const BilinearCoords& c, usize n,
+                     f32* out);
+
+/// Source coordinates of a rigid map, out(p) = in(origin + R(-angle) *
+/// (p - pivot - shift)), filled row by row for bilinear_rows:
+///   rx = (x - pivot.x) - shift.x,  ry = (y - pivot.y) - shift.y,
+///   sx = (origin.x + ca*rx) - sa*ry,  sy = (origin.y + sa*rx) + ca*ry,
+/// with ca = cos(-angle), sa = sin(-angle).  The column terms are computed
+/// once per tile and sa*ry, ca*ry once per row; the f64 operation order is
+/// that of the per-pixel formula, so every coordinate is bit-identical to
+/// it (a zero shift subtracts exactly).
+class RigidCoords {
+ public:
+  RigidCoords(Point2f origin, Point2f pivot, Point2f shift, f64 angle)
+      : origin_(origin), pivot_(pivot), shift_(shift),
+        ca_(std::cos(-angle)), sa_(std::sin(-angle)) {}
+
+  void columns(i32 x0, usize n) {
+    for (usize i = 0; i < n; ++i) {
+      const f64 rx =
+          static_cast<f64>(x0 + static_cast<i32>(i)) - pivot_.x - shift_.x;
+      col_x_[i] = origin_.x + ca_ * rx;
+      col_y_[i] = origin_.y + sa_ * rx;
+    }
+  }
+
+  void row(i32 y, usize n, BilinearCoords& c) const {
+    const f64 ry = static_cast<f64>(y) - pivot_.y - shift_.y;
+    const f64 sry = sa_ * ry;
+    const f64 cry = ca_ * ry;
+    for (usize i = 0; i < n; ++i) {
+      c.x[i] = col_x_[i] - sry;
+      c.y[i] = col_y_[i] + cry;
+    }
+  }
+
+ private:
+  Point2f origin_;
+  Point2f pivot_;
+  Point2f shift_;
+  f64 ca_;
+  f64 sa_;
+  std::array<f64, kBilinearTile> col_x_{};
+  std::array<f64, kBilinearTile> col_y_{};
+};
+
+/// The bilinear row kernel behind every warp (ENH, warp_rigid,
+/// translate_bilinear): produces rows [rows.lo, rows.hi) of an out_w-wide
+/// output in column tiles.  Per tile, `coords.columns(x0, n)` runs once;
+/// per tile row, `coords.row(y, n, c)` fills the source coordinates,
+/// bilinear_gather samples them, and `sink(y, x0, samples)` consumes the
+/// finished row segment.  Disjoint row bands touch disjoint output rows.
+template <typename Coords, typename Sink>
+void bilinear_rows(const ImageF32& in, i32 out_w, IndexRange rows,
+                   Coords& coords, Sink&& sink) {
+  if (rows.empty() || out_w <= 0) return;
+  BilinearCoords c{};
+  std::array<f32, kBilinearTile> line{};
+  for (i32 x0 = 0; x0 < out_w; x0 += static_cast<i32>(kBilinearTile)) {
+    const usize n = std::min(kBilinearTile, static_cast<usize>(out_w - x0));
+    coords.columns(x0, n);
+    for (i32 y = rows.lo; y < rows.hi; ++y) {
+      coords.row(y, n, c);
+      bilinear_gather(in, c, n, line.data());
+      sink(y, x0, std::span<const f32>(line.data(), n));
+    }
+  }
+}
+
 /// Catmull-Rom bicubic sample with border clamping.
 [[nodiscard]] f32 bicubic_sample(const ImageF32& in, f64 x, f64 y);
 
@@ -86,8 +173,8 @@ void resample_bicubic_rows(const ImageF32& in, ImageF32& out, Rect src,
 void resample_bicubic_rows_u16(const ImageF32& in, ImageU16& out, Rect src,
                                IndexRange rows);
 
-/// Translate an image by a sub-pixel offset with bilinear interpolation
-/// (used for motion compensation in the ENH task).
+/// Translate an image by a sub-pixel offset with bilinear interpolation:
+/// out(x, y) = in(x + dx, y + dy).
 [[nodiscard]] ImageF32 translate_bilinear(const ImageF32& in, f64 dx, f64 dy,
                                           WorkReport* wr = nullptr);
 

@@ -348,12 +348,31 @@ struct EnhanceResult {
 /// mapping `cur_couple` onto `ref_couple` (the couple captured when the
 /// integration started); the accumulator itself is never re-warped, so no
 /// resampling blur accumulates.  `accumulator` may be empty on the first
-/// registered frame.
+/// registered frame (or of another size): integration then restarts.  A
+/// wrapper over enhance_rows and enhance_work.
 [[nodiscard]] EnhanceResult enhance(const ImageF32& cur_frame, Rect roi,
                                     const ImageF32& accumulator,
                                     const Couple& cur_couple,
                                     const Couple& ref_couple,
                                     const EnhanceParams& params);
+
+/// Row-band kernel of ENH: warps rows [rows.lo, rows.hi) of `cur_frame`
+/// into reference coordinates and blends them into `accumulator` in place,
+/// acc = (1 - g) * acc + g * warped; on a `restart` the warped samples are
+/// written instead.  `accumulator` must have the frame's dimensions.
+/// Disjoint bands touch disjoint accumulator rows, so they may run
+/// concurrently, and any banding is bit-identical to one full-frame call.
+/// No heap allocation.
+void enhance_rows(const ImageF32& cur_frame, const Couple& cur_couple,
+                  const Couple& ref_couple, const EnhanceParams& params,
+                  bool restart, ImageF32& accumulator, IndexRange rows);
+
+/// The WorkReport of one ENH invocation over a frame of `frame_pixels`
+/// pixels cropping `roi` (already clamped to the frame); `restart` as in
+/// enhance_rows.  The work is that of the modelled task (warped copy,
+/// blend, crop), independent of how the host bands it.
+[[nodiscard]] WorkReport enhance_work(u64 frame_pixels, bool restart,
+                                      Rect roi);
 
 /// Translation-only convenience overload: (dx, dy) is the displacement of
 /// the current frame relative to the reference (accumulator) frame.

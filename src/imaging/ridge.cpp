@@ -121,11 +121,11 @@ void ridge_detect_rows(const ImageF32& frame, Rect roi,
         f32 dx = -std::sin(theta);
         f32 dy = std::cos(theta);
         f32 acc = 0.0f;
-        for (i32 s = -3; s <= 3; ++s) {
-          if (s == 0) continue;
-          acc += bilinear_sample(resp_local,
-                                 static_cast<f64>(x) + dx * static_cast<f32>(s),
-                                 static_cast<f64>(y) + dy * static_cast<f32>(s));
+        for (i32 step = -3; step <= 3; ++step) {
+          if (step == 0) continue;
+          const f32 t = static_cast<f32>(step);
+          acc += bilinear_sample(resp_local, static_cast<f64>(x) + dx * t,
+                                 static_cast<f64>(y) + dy * t);
         }
         f32 along_mean = acc / 6.0f;
         if (along_mean < 0.4f * resp) {

@@ -95,7 +95,7 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> job;
+    Job job;
     {
       common::MutexLock lock(mutex_);
       cv_.wait(mutex_,
@@ -104,26 +104,39 @@ void ThreadPool::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop();
     }
-    run_job_observed(job);
+    std::exception_ptr error;
+    try {
+      run_job_observed(job.fn);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    // Release the job's captures before its caller can return.
+    job.fn = nullptr;
     {
       common::MutexLock lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) done_cv_.notify_all();
+      Batch& batch = *job.batch;
+      if (error != nullptr && batch.error == nullptr) batch.error = error;
+      // Notify under the lock: the caller destroys the batch as soon as it
+      // sees pending == 0, which it cannot before this scope ends.
+      if (--batch.pending == 0) batch.done.notify_all();
     }
   }
 }
 
 void ThreadPool::run_all(std::vector<std::function<void()>> jobs) {
   if (jobs.empty()) return;
+  Batch batch;
   {
     common::MutexLock lock(mutex_);
-    in_flight_ += jobs.size();
-    for (auto& j : jobs) queue_.push(std::move(j));
+    batch.pending = jobs.size();
+    for (auto& j : jobs) queue_.push(Job{std::move(j), &batch});
   }
   cv_.notify_all();
-  common::MutexLock lock(mutex_);
-  done_cv_.wait(mutex_,
-                [this]() TC_REQUIRES(mutex_) { return in_flight_ == 0; });
+  {
+    common::MutexLock lock(mutex_);
+    batch.done.wait(mutex_, [&batch] { return batch.pending == 0; });
+  }
+  if (batch.error != nullptr) std::rethrow_exception(batch.error);
 }
 
 void ThreadPool::parallel_ranges(

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/obs.hpp"
+
 namespace tc::app {
 namespace {
 
@@ -94,6 +96,83 @@ TEST(ParallelEquivalencePool, StripedRdgReportsPerStripe) {
   plat::TaskCost serial_cost = app.cost_model().serial_cost(rdg->work);
   EXPECT_LT(rdg->simulated_ms, serial_cost.total_ms);
   EXPECT_GT(rdg->simulated_ms, serial_cost.total_ms / 4.0);
+}
+
+/// FNV-1a over the displayed pixels.
+u64 output_hash(const img::ImageU16& im) {
+  u64 h = 1469598103934665603ull;
+  for (usize i = 0; i < im.size(); ++i) {
+    h = (h ^ im.data()[i]) * 1099511628211ull;
+  }
+  return h;
+}
+
+void expect_same_record(const graph::FrameRecord& s,
+                        const graph::FrameRecord& p) {
+  ASSERT_EQ(s.scenario, p.scenario) << "frame " << s.frame;
+  ASSERT_EQ(s.latency_ms, p.latency_ms) << "frame " << s.frame;
+  ASSERT_EQ(s.roi_pixels, p.roi_pixels) << "frame " << s.frame;
+  ASSERT_EQ(s.tasks.size(), p.tasks.size()) << "frame " << s.frame;
+  for (usize i = 0; i < s.tasks.size(); ++i) {
+    const graph::TaskExecution& a = s.tasks[i];
+    const graph::TaskExecution& b = p.tasks[i];
+    const std::string where =
+        "frame " + std::to_string(s.frame) + " " + std::string(node_name(a.node));
+    ASSERT_EQ(a.executed, b.executed) << where;
+    ASSERT_EQ(a.simulated_ms, b.simulated_ms) << where;
+    ASSERT_EQ(a.work.pixel_ops, b.work.pixel_ops) << where;
+    ASSERT_EQ(a.work.bytes_read, b.work.bytes_read) << where;
+    ASSERT_EQ(a.work.bytes_written, b.work.bytes_written) << where;
+    ASSERT_EQ(a.work.input_bytes, b.work.input_bytes) << where;
+    ASSERT_EQ(a.work.intermediate_bytes, b.work.intermediate_bytes) << where;
+    ASSERT_EQ(a.work.output_bytes, b.work.output_bytes) << where;
+  }
+}
+
+TEST(ParallelEquivalencePool, StripedEnhOnPoolMatchesSerial) {
+  // ENH planned x4 runs four in-place row bands of the accumulator on the
+  // pool; records (simulated times included) and the displayed frames must
+  // equal a host-serial run of the same plan, and the displayed frames a
+  // serial-plan run.
+  obs::set_enabled(true);
+  obs::global().clear();
+  plat::ThreadPool pool(4);
+  StripePlan plan = serial_plan();
+  plan[kEnh] = 4;
+  StentBoostApp reference(fast_config());
+  StentBoostApp serial(fast_config());
+  StentBoostApp pooled(fast_config(), &pool);
+  serial.set_stripe_plan(plan);
+  pooled.set_stripe_plan(plan);
+  i32 enh_frames = 0;
+  for (i32 t = 0; t < 25; ++t) {
+    (void)reference.process_frame(t);
+    graph::FrameRecord rs = serial.process_frame(t);
+    graph::FrameRecord rp = pooled.process_frame(t);
+    expect_same_record(rs, rp);
+    const graph::TaskExecution* enh = rp.find(kEnh);
+    if (enh != nullptr && enh->executed) ++enh_frames;
+    ASSERT_EQ(output_hash(serial.last_output()),
+              output_hash(pooled.last_output()))
+        << "frame " << t;
+    ASSERT_EQ(output_hash(reference.last_output()),
+              output_hash(pooled.last_output()))
+        << "frame " << t;
+  }
+  EXPECT_GE(enh_frames, 10);
+
+  if (obs::enabled()) {
+    bool fanout = false;
+    for (const obs::FlightEvent& e : obs::global().flight.snapshot()) {
+      if (e.type == obs::FrEventType::InstanceFanout && e.node == kEnh &&
+          e.a == 4.0) {
+        fanout = true;
+      }
+    }
+    EXPECT_TRUE(fanout) << "no InstanceFanout flight event for ENH";
+  }
+  obs::global().clear();
+  obs::set_enabled(false);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include "platform/thread_pool.hpp"
 
 #include <atomic>
+#include <future>
 #include <numeric>
+#include <stdexcept>
 #if defined(__linux__)
 #include <sched.h>
 #endif
@@ -211,6 +213,72 @@ TEST(ThreadPool, PinnedWorkersRunOnTheirAssignedCores) {
   }
 }
 #endif
+
+TEST(ThreadPool, RunAllWaitsOnlyForItsOwnBatch) {
+  // Caller A's job blocks until released; caller B's batch must complete
+  // and return meanwhile (a pool-wide wait would block B until A's job
+  // finished, and this test would hang).
+  ThreadPool pool(2);
+  std::promise<void> a_started;
+  std::promise<void> release_a;
+  std::shared_future<void> released = release_a.get_future().share();
+  std::atomic<bool> a_returned{false};
+  std::thread caller_a([&] {
+    std::vector<std::function<void()>> jobs;
+    jobs.push_back([&a_started, released] {
+      a_started.set_value();
+      released.wait();
+    });
+    pool.run_all(std::move(jobs));
+    a_returned.store(true);
+  });
+  a_started.get_future().wait();
+
+  std::atomic<i32> b_ran{0};
+  std::vector<std::function<void()>> jobs;
+  for (i32 i = 0; i < 4; ++i) jobs.push_back([&b_ran] { b_ran.fetch_add(1); });
+  pool.run_all(std::move(jobs));
+  EXPECT_EQ(b_ran.load(), 4);
+  EXPECT_FALSE(a_returned.load());
+
+  release_a.set_value();
+  caller_a.join();
+  EXPECT_TRUE(a_returned.load());
+}
+
+TEST(ThreadPool, ThrowingJobIsRethrownAtCallerAndPoolStaysUsable) {
+  ThreadPool pool(3);
+  std::atomic<i32> ran{0};
+  std::vector<std::function<void()>> jobs;
+  for (i32 i = 0; i < 12; ++i) {
+    jobs.push_back([&ran, i] {
+      if (i == 5) throw std::runtime_error("job 5 failed");
+      ran.fetch_add(1);
+    });
+  }
+  try {
+    pool.run_all(std::move(jobs));
+    ADD_FAILURE() << "run_all did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "job 5 failed");
+  }
+  // Every other job of the batch still ran to completion.
+  EXPECT_EQ(ran.load(), 11);
+
+  // The workers survived: later batches run normally, and parallel_ranges
+  // propagates a failure the same way.
+  std::atomic<i64> sum{0};
+  pool.parallel_ranges(100, 4, [&](i32, IndexRange r) {
+    for (i32 i = r.lo; i < r.hi; ++i) sum.fetch_add(i);
+  });
+  EXPECT_EQ(sum.load(), 4950);
+  EXPECT_THROW(pool.parallel_ranges(8, 4,
+                                    [](i32 chunk, IndexRange) {
+                                      if (chunk == 3) throw std::logic_error("x");
+                                    }),
+               std::logic_error);
+  EXPECT_EQ(pool.thread_count(), 3u);
+}
 
 TEST(ThreadPool, SingleThreadPoolStillCorrect) {
   ThreadPool pool(1);
